@@ -1,26 +1,19 @@
-"""Per-rule diagnosis of MinoanER false positives on a profile."""
+"""Per-rule diagnosis of MinoanER false positives on a profile.
+
+    PYTHONPATH=src python scripts/diag_rules.py [profile] [sf]
+"""
 import sys
 
-sys.path.insert(0, "/root/repo")
-import conftest  # noqa: F401
-
-from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import DEFAULT_CONFIG, run_minoaner
-from repro.kbgen import PROFILES, generate_kb_pair
-from repro.kbgen.profiles import scaled
+from repro.kbgen import PROFILES, generate_kb_pair, scaled
+from repro.tables.__main__ import spark_session
 
 prof_name = sys.argv[1] if len(sys.argv) > 1 else "restaurant"
 sf = float(sys.argv[2]) if len(sys.argv) > 2 else 0.5
 
-spark = (
-    SparkSession.builder.appName("diag")
-    .config("spark.sql.shuffle.partitions", "8")
-    .config("spark.sql.autoBroadcastJoinThreshold", -1)
-    .getOrCreate()
-)
-spark.sparkContext.setLogLevel("ERROR")
+spark = spark_session("diag_rules")
 
 pair = generate_kb_pair(spark, scaled(PROFILES[prof_name], sf), seed=7)
 res = run_minoaner(pair.triples1, pair.triples2, pair.gt, DEFAULT_CONFIG)

@@ -26,9 +26,12 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..core.blocking import purge_blocks, token_block_index, token_pairs
+from ..core.config import DEFAULT_CONFIG
+from ..core.evaluation import evaluate_pdf
 from ..core.names import entity_names, name_pairs, top_k_name_attrs
 from ..core.tokens import TOKEN_SPLIT, literal_tokens
 
+WEIGHTINGS = ("tf", "tfidf")
 MEASURES = ("cosine", "jaccard", "genjaccard", "sigma")
 
 
@@ -149,15 +152,13 @@ def pair_similarities(
     )
 
 
-def candidate_pairs_unpruned(
-    triples1: DataFrame, triples2: DataFrame, k_names: int = 2
-) -> DataFrame:
+def candidate_pairs_unpruned(triples1: DataFrame, triples2: DataFrame) -> DataFrame:
     """The unpruned disjunctive blocking graph's edges, as in the paper's BSL."""
     t1, t2 = literal_tokens(triples1), literal_tokens(triples2)
     kept, _ = purge_blocks(token_block_index(t1, t2))
     tok = token_pairs(t1, t2, kept)
-    n1 = entity_names(triples1, top_k_name_attrs(triples1, k_names))
-    n2 = entity_names(triples2, top_k_name_attrs(triples2, k_names))
+    n1 = entity_names(triples1, top_k_name_attrs(triples1, DEFAULT_CONFIG.k))
+    n2 = entity_names(triples2, top_k_name_attrs(triples2, DEFAULT_CONFIG.k))
     return tok.union(name_pairs(n1, n2)).distinct()
 
 
@@ -175,25 +176,11 @@ class BSLResult:
     grid: pd.DataFrame  # one row per (n, weighting, measure, threshold)
 
 
-def _prf(pred: pd.DataFrame, gt: pd.DataFrame) -> tuple[float, float, float]:
-    n_m = len(pred)
-    n_gt = len(gt)
-    if n_m == 0 or n_gt == 0:
-        return 0.0, 0.0, 0.0
-    hit = len(pred.merge(gt, on=["eid1", "eid2"]))
-    p = 100.0 * hit / n_m
-    r = 100.0 * hit / n_gt
-    f1 = 2 * p * r / (p + r) if p + r else 0.0
-    return p, r, f1
-
-
 def run_bsl(
     triples1: DataFrame,
     triples2: DataFrame,
     gt_pdf: pd.DataFrame,
     ns: tuple[int, ...] = (1, 2, 3),
-    weightings: tuple[str, ...] = ("tf", "tfidf"),
-    measures: tuple[str, ...] = MEASURES,
     thresholds: np.ndarray | None = None,
 ) -> BSLResult:
     """Grid-search BSL and return the best-F1 configuration.
@@ -206,12 +193,12 @@ def run_bsl(
         thresholds = np.arange(0.0, 1.0, 0.05)
     pairs = candidate_pairs_unpruned(triples1, triples2).cache()
     rows: list[dict] = []
-    for n, weighting in product(ns, weightings):
+    for n, weighting in product(ns, WEIGHTINGS):
         g1 = entity_grams(triples1, n)
         g2 = entity_grams(triples2, n)
         w1, w2 = weighted_grams(g1, g2, weighting)
         sims = pair_similarities(pairs, w1, w2).toPandas()
-        for measure in measures:
+        for measure in MEASURES:
             if measure == "sigma" and weighting != "tfidf":
                 continue  # SiGMa measure applies to TF-IDF only [21]
             scored = sims[["eid1", "eid2", measure]].rename(
@@ -220,16 +207,16 @@ def run_bsl(
             scored = scored[scored.sim > 0]
             for t in thresholds:
                 pred = unique_mapping_clustering(scored, float(t))
-                p, r, f1 = _prf(pred, gt_pdf)
+                prf = evaluate_pdf(pred, gt_pdf)
                 rows.append(
                     {
                         "n": n,
                         "weighting": weighting,
                         "measure": measure,
                         "threshold": round(float(t), 2),
-                        "precision": p,
-                        "recall": r,
-                        "f1": f1,
+                        "precision": prf.precision,
+                        "recall": prf.recall,
+                        "f1": prf.f1,
                     }
                 )
     grid = pd.DataFrame(rows)

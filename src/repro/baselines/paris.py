@@ -24,6 +24,11 @@ from dataclasses import dataclass
 
 import pandas as pd
 
+from ..core.evaluation import evaluate_pdf
+
+ITERATIONS = 3  # rounds of relation alignment and propagation
+ACCEPT_THRESHOLD = 0.5  # probability at which a pair counts as a match
+
 
 @dataclass
 class ParisResult:
@@ -53,8 +58,6 @@ def run_paris(
     pdf1: pd.DataFrame,
     pdf2: pd.DataFrame,
     gt_pdf: pd.DataFrame,
-    iterations: int = 3,
-    accept_threshold: float = 0.5,
 ) -> ParisResult:
     """Run the fixed-point probability iteration and score the matches."""
     lit1, lit2 = _literal_index(pdf1), _literal_index(pdf2)
@@ -93,7 +96,7 @@ def run_paris(
 
     prob: dict[tuple[int, int], float] = dict(lit_prob)
 
-    for _ in range(iterations):
+    for _ in range(ITERATIONS):
         # --- relation alignment from current probable matches -------------
         # align(r2 | r1) is a conditional distribution: of the in-edge
         # pairs observed on probable matches with relation r1 on the KB1
@@ -101,7 +104,7 @@ def run_paris(
         align_hits: Counter = Counter()
         r1_totals: Counter = Counter()
         for (a, b), p in prob.items():
-            if p < accept_threshold:
+            if p < ACCEPT_THRESHOLD:
                 continue
             for r1, s1 in in1.get(a, ()):
                 for r2, s2 in in2.get(b, ()):
@@ -136,17 +139,9 @@ def run_paris(
     from .umc import unique_mapping_clustering
 
     cand = pd.DataFrame(
-        [(a, b, p) for (a, b), p in prob.items() if p >= accept_threshold],
+        [(a, b, p) for (a, b), p in prob.items() if p >= ACCEPT_THRESHOLD],
         columns=["eid1", "eid2", "sim"],
     )
-    matches = (
-        unique_mapping_clustering(cand, accept_threshold)[["eid1", "eid2"]]
-        if len(cand)
-        else cand[["eid1", "eid2"]] if len(cand) else pd.DataFrame(columns=["eid1", "eid2"])
-    )
-    n_m, n_gt = len(matches), len(gt_pdf)
-    hit = len(matches.merge(gt_pdf, on=["eid1", "eid2"])) if n_m else 0
-    p_ = 100.0 * hit / n_m if n_m else 0.0
-    r_ = 100.0 * hit / n_gt if n_gt else 0.0
-    f1 = 2 * p_ * r_ / (p_ + r_) if p_ + r_ else 0.0
-    return ParisResult(matches=matches, precision=p_, recall=r_, f1=f1)
+    matches = unique_mapping_clustering(cand, ACCEPT_THRESHOLD)[["eid1", "eid2"]]
+    prf = evaluate_pdf(matches, gt_pdf)
+    return ParisResult(matches, prf.precision, prf.recall, prf.f1)

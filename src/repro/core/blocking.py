@@ -3,11 +3,11 @@
 Token blocking creates one block per token shared by the two KBs; the
 block's comparison cardinality is ``EF1(t) * EF2(t)``. Block Purging
 removes the stop-word-like blocks whose tokens carry near-zero valueSim
-weight anyway (paper Section 3.3, deferring to [26]); our automatic
-threshold is documented in DESIGN.md section 5: drop blocks whose
-cardinality exceeds ``purge_factor x median cardinality`` (with a floor),
-which removes the Zipf head while provably keeping every block whose
-token could meaningfully contribute to valueSim.
+weight anyway (paper Section 3.3, deferring to [26]). ``purge_blocks``
+derives its cut-off from Def. 2.1's weighting (DESIGN.md section 5): a
+block of cardinality ``c`` carries token weight ``1/log2(c+1)``, so
+blocks with ``EF1*EF2 > 2**(1/min_weight) - 1`` are dropped — 1023
+comparisons at the default ``min_weight = 0.1``, whatever the KB sizes.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from .evaluation import PRF
 from .names import name_block_index, name_pairs
 from .tokens import entity_frequency, literal_tokens, pair_token_weights
 
@@ -88,7 +89,6 @@ def block_stats(
     names1: DataFrame,
     names2: DataFrame,
     gt: DataFrame,
-    max_comparisons: int | None = None,
 ) -> BlockStats:
     """Compute Table 2: block counts, cardinalities, and blocking P/R/F1.
 
@@ -98,7 +98,7 @@ def block_stats(
     """
     t1, t2 = literal_tokens(triples1), literal_tokens(triples2)
     tindex = token_block_index(t1, t2)
-    kept, threshold = purge_blocks(tindex, max_comparisons)
+    kept, threshold = purge_blocks(tindex)
     nindex = name_block_index(names1, names2)
 
     n_token_blocks = kept.count()
@@ -111,10 +111,7 @@ def block_stats(
     cand = token_pairs(t1, t2, kept).union(name_pairs(names1, names2)).distinct()
     n_cand = cand.count()
     n_gt = gt.count()
-    hit = cand.join(gt, ["eid1", "eid2"]).count()
-    prec = 100.0 * hit / n_cand if n_cand else 0.0
-    rec = 100.0 * hit / n_gt if n_gt else 0.0
-    f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
+    prf = PRF.from_counts(cand.join(gt, ["eid1", "eid2"]).count(), n_cand, n_gt)
 
     n1 = triples1.select("eid").distinct().count()
     n2 = triples2.select("eid").distinct().count()
@@ -124,8 +121,8 @@ def block_stats(
         name_comparisons=int(name_comps),
         token_comparisons=int(token_comps),
         cartesian=n1 * n2,
-        precision=prec,
-        recall=rec,
-        f1=f1,
+        precision=prf.precision,
+        recall=prf.recall,
+        f1=prf.f1,
         purge_threshold=threshold,
     )

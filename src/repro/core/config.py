@@ -18,15 +18,12 @@ class MinoanerConfig:
             evidence (top-K beta edges and top-K gamma edges per node).
     N:      most important relations per entity for topNneighbors.
     theta:  value-vs-neighbor trade-off of the rank aggregation rule R3.
-    purge_max_comparisons: explicit Block Purging threshold, or None for
-            the automatic median-based threshold (DESIGN.md section 5).
     """
 
     k: int = 2
     K: int = 15
     N: int = 3
     theta: float = 0.6
-    purge_max_comparisons: int | None = None
 
 
 DEFAULT_CONFIG = MinoanerConfig()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import pandas as pd
 from pyspark.sql import DataFrame
 
 
@@ -21,6 +22,14 @@ class PRF:
     n_matches: int
     n_gt: int
     n_correct: int
+
+    @classmethod
+    def from_counts(cls, n_correct: int, n_matches: int, n_gt: int) -> PRF:
+        """The one P/R/F1 formula; every empty denominator scores 0."""
+        p = 100.0 * n_correct / n_matches if n_matches else 0.0
+        r = 100.0 * n_correct / n_gt if n_gt else 0.0
+        f1 = 2 * p * r / (p + r) if p + r else 0.0
+        return cls(p, r, f1, n_matches, n_gt, n_correct)
 
     def row(self) -> dict[str, float]:
         return {
@@ -36,7 +45,10 @@ def evaluate(matches: DataFrame, gt: DataFrame) -> PRF:
     n_m = pairs.count()
     n_gt = gt.select("eid1", "eid2").distinct().count()
     n_ok = pairs.join(gt, ["eid1", "eid2"]).count()
-    p = 100.0 * n_ok / n_m if n_m else 0.0
-    r = 100.0 * n_ok / n_gt if n_gt else 0.0
-    f1 = 2 * p * r / (p + r) if p + r else 0.0
-    return PRF(p, r, f1, n_m, n_gt, n_ok)
+    return PRF.from_counts(n_ok, n_m, n_gt)
+
+
+def evaluate_pdf(pred: pd.DataFrame, gt: pd.DataFrame) -> PRF:
+    """``evaluate`` for the driver-side baselines' pandas pairs (1-1, no duplicates)."""
+    n_ok = len(pred.merge(gt, on=["eid1", "eid2"])) if len(pred) and len(gt) else 0
+    return PRF.from_counts(n_ok, len(pred), len(gt))

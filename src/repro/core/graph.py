@@ -145,7 +145,7 @@ def build_graph(
     t1 = literal_tokens(triples1).cache()
     t2 = literal_tokens(triples2).cache()
     index = token_block_index(t1, t2)
-    kept, threshold = purge_blocks(index, cfg.purge_max_comparisons)
+    kept, threshold = purge_blocks(index)
     beta = beta_scores(t1, t2, kept).cache()
     beta_out1 = top_k_directed(beta, "eid1", "eid2", "beta", cfg.K).cache()
     beta_out2 = top_k_directed(beta, "eid2", "eid1", "beta", cfg.K).cache()

@@ -80,20 +80,17 @@ def rule3(
     g: BlockingGraph,
     matched: DataFrame | None = None,
     theta: float = 0.6,
-    mutual: bool = True,
 ) -> DataFrame:
     """R3: threshold-free rank aggregation of value and neighbor lists.
 
     Every unmatched node of E1 and of E2 computes its best aggregate
-    candidate. With ``mutual=True`` (default) a pair is a match only
-    when *both* endpoints pick each other — the paper's "two entities
-    match only if both of them agree" rationale, and the reading
-    required for consistency with its Table 4 (R3's precision ~= recall
-    on KBs where most entities are unmatched is impossible if every
-    unmatched node emitted its one-sided top pick; MinoanER also states
-    it employs Unique Mapping Clustering, which mutual top-picks
-    implement non-iteratively). ``mutual=False`` gives the literal
-    one-sided union of Alg. 2.
+    candidate, and a pair is a match only when *both* endpoints pick
+    each other — the paper's "two entities match only if both of them
+    agree" rationale, and the reading required for consistency with its
+    Table 4 (R3's precision ~= recall on KBs where most entities are
+    unmatched is impossible if every unmatched node emitted its
+    one-sided top pick; MinoanER also states it employs Unique Mapping
+    Clustering, which mutual top-picks implement non-iteratively).
     """
 
     def one_direction(beta_out: DataFrame, gamma_out: DataFrame, node: str) -> DataFrame:
@@ -123,8 +120,7 @@ def rule3(
 
     d1 = one_direction(g.beta_out1, g.gamma_out1, "eid1")
     d2 = one_direction(g.beta_out2, g.gamma_out2, "eid2")
-    picked = d1.join(d2, _PAIR) if mutual else d1.union(d2).distinct()
-    return picked.withColumn("rule", F.lit("R3"))
+    return d1.join(d2, _PAIR).withColumn("rule", F.lit("R3"))
 
 
 def rule4(matches: DataFrame, g: BlockingGraph) -> DataFrame:
@@ -152,7 +148,6 @@ def match_graph(
     use_r2: bool = True,
     use_r3: bool = True,
     use_r4: bool = True,
-    mutual_r3: bool = True,
 ) -> DataFrame:
     """Algorithm 2 end to end; rule toggles drive the Table 4 ablation.
 
@@ -174,7 +169,7 @@ def match_graph(
     if use_r2:
         accumulate(rule2(g, matched).cache())
     if use_r3:
-        accumulate(rule3(g, matched, theta, mutual=mutual_r3).cache())
+        accumulate(rule3(g, matched, theta).cache())
     if not parts:
         return rule1(g).filter(F.lit(False))
     all_matches = parts[0]

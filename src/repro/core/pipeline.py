@@ -1,6 +1,6 @@
 """End-to-end MinoanER pipeline: blocking graph + matching + scoring.
 
-``run_minoaner`` is the one-call entry used by jobs, benchmarks and the
+``run_minoaner`` is the one-call entry used by the benchmarks and the
 Table 3/4 harnesses. All heavy lifting is DataFrame work; only final
 P/R/F1 counts are collected to the driver.
 """

@@ -11,8 +11,19 @@ reverse mapping (``topInNeighbors``) feeds the gamma computation.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
+
+
+def harmonic_mean(support: Column, discriminability: Column) -> Column:
+    """Importance of a relation or a literal attribute (Section 2.2).
+
+    The harmonic mean of its support and discriminability; 0 when both are.
+    """
+    total = support + discriminability
+    return F.when(total > 0, 2.0 * support * discriminability / total).otherwise(
+        F.lit(0.0)
+    )
 
 
 def relation_edges(triples: DataFrame) -> DataFrame:
@@ -38,14 +49,7 @@ def relation_importance(triples: DataFrame, n_entities: int | None = None) -> Da
         per_rel.withColumn("support", F.col("instances") / F.lit(denom))
         .withColumn("discriminability", F.col("objects") / F.col("instances"))
         .withColumn(
-            "importance",
-            F.when(
-                (F.col("support") + F.col("discriminability")) > 0,
-                2.0
-                * F.col("support")
-                * F.col("discriminability")
-                / (F.col("support") + F.col("discriminability")),
-            ).otherwise(F.lit(0.0)),
+            "importance", harmonic_mean(F.col("support"), F.col("discriminability"))
         )
         .select("rel", "support", "discriminability", "importance")
     )

@@ -233,13 +233,6 @@ def test_scale(p: Profile) -> Profile:
     return p
 
 
-def importance_harmonic(support: float, discriminability: float) -> float:
-    """Harmonic mean used for both relation and attribute importance."""
-    if support + discriminability == 0:
-        return 0.0
-    return 2 * support * discriminability / (support + discriminability)
-
-
 def expected_shared_specific(p: Profile) -> float:
     """Expected count of specific tokens a match shares across the KBs.
 

@@ -1,4 +1,4 @@
-"""Markdown-ish table formatting for jobs and EXPERIMENTS.md."""
+"""Markdown-ish table formatting for the tables CLI and EXPERIMENTS.md."""
 from __future__ import annotations
 
 

@@ -3,24 +3,17 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from ..kbgen import PROFILES, generate_kb_pair
 from ..kbgen.stats import dataset_stats
-from .fmt import format_rows
+from .pairs import profile_pairs
 
 
 def table1_rows(
     spark: SparkSession, profiles: list[str] | None = None, seed: int = 7, sf: float | None = None
 ) -> list[dict]:
-    """One row per (dataset, metric), ours next to nothing — the paper's
-    numbers are joined in EXPERIMENTS.md / jobs output."""
-    from ..kbgen.profiles import scaled
-
+    """One row per dataset, ours only — the paper's numbers are in
+    ``paper_numbers.TABLE1`` and joined in EXPERIMENTS.md."""
     rows = []
-    for name in profiles or list(PROFILES):
-        prof = PROFILES[name]
-        if sf is not None:
-            prof = scaled(prof, sf)
-        pair = generate_kb_pair(spark, prof, seed=seed)
+    for name, pair in profile_pairs(spark, profiles, seed, sf):
         s = dataset_stats(pair)
         rows.append(
             {
@@ -39,8 +32,3 @@ def table1_rows(
             }
         )
     return rows
-
-
-def main(spark: SparkSession) -> str:
-    rows = table1_rows(spark)
-    return format_rows("Table 1 — dataset statistics (ours)", rows)

@@ -3,30 +3,23 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
+from ..core import DEFAULT_CONFIG
 from ..core.blocking import block_stats
 from ..core.names import entity_names, top_k_name_attrs
-from ..kbgen import PROFILES, generate_kb_pair
-from .fmt import format_rows
+from .pairs import profile_pairs
 
 
 def table2_rows(
     spark: SparkSession,
     profiles: list[str] | None = None,
     seed: int = 7,
-    k_names: int = 2,
     sf: float | None = None,
 ) -> list[dict]:
-    from ..kbgen.profiles import scaled
-
     rows = []
-    for name in profiles or list(PROFILES):
-        prof = PROFILES[name]
-        if sf is not None:
-            prof = scaled(prof, sf)
-        pair = generate_kb_pair(spark, prof, seed=seed)
-        t1, t2 = pair.triples1.cache(), pair.triples2.cache()
-        n1 = entity_names(t1, top_k_name_attrs(t1, k_names))
-        n2 = entity_names(t2, top_k_name_attrs(t2, k_names))
+    for name, pair in profile_pairs(spark, profiles, seed, sf):
+        t1, t2 = pair.triples1, pair.triples2
+        n1 = entity_names(t1, top_k_name_attrs(t1, DEFAULT_CONFIG.k))
+        n2 = entity_names(t2, top_k_name_attrs(t2, DEFAULT_CONFIG.k))
         s = block_stats(t1, t2, n1, n2, pair.gt)
         rows.append(
             {
@@ -42,7 +35,3 @@ def table2_rows(
             }
         )
     return rows
-
-
-def main(spark: SparkSession) -> str:
-    return format_rows("Table 2 — block statistics (ours)", table2_rows(spark))

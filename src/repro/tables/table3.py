@@ -8,10 +8,29 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
+from ..baselines import paris, run_bsl, run_paris, run_sigma, sigma
 from ..core import DEFAULT_CONFIG, run_minoaner
-from ..baselines import run_bsl, run_paris, run_sigma
-from ..kbgen import PROFILES, generate_kb_pair
-from .fmt import format_rows
+from .pairs import profile_pairs
+
+# Labels are built from the values the runs actually use.
+MINOANER_CONFIG = (
+    f"(k,K,N,theta)=({DEFAULT_CONFIG.k},{DEFAULT_CONFIG.K},"
+    f"{DEFAULT_CONFIG.N},{DEFAULT_CONFIG.theta})"
+)
+SIGMA_CONFIG = f"seeds=names,lambda={sigma.NEIGHBOR_WEIGHT},t={sigma.THRESHOLD}"
+PARIS_CONFIG = f"iters={paris.ITERATIONS},t={paris.ACCEPT_THRESHOLD}"
+
+
+def _row(dataset: str, method: str, score, config: str) -> dict:
+    """One Table 3 row; ``score`` is anything with precision, recall and f1."""
+    return {
+        "dataset": dataset,
+        "method": method,
+        "precision": round(score.precision, 2),
+        "recall": round(score.recall, 2),
+        "f1": round(score.f1, 2),
+        "config": config,
+    }
 
 
 def table3_rows(
@@ -19,69 +38,17 @@ def table3_rows(
     profiles: list[str] | None = None,
     seed: int = 7,
     sf: float | None = None,
-    bsl_ns: tuple[int, ...] = (1, 2, 3),
-    with_sigma: bool = True,
-    with_paris: bool = True,
 ) -> list[dict]:
-    from ..kbgen.profiles import scaled
-
     rows = []
-    for name in profiles or list(PROFILES):
-        prof = PROFILES[name]
-        if sf is not None:
-            prof = scaled(prof, sf)
-        pair = generate_kb_pair(spark, prof, seed=seed)
-        t1, t2 = pair.triples1.cache(), pair.triples2.cache()
-
+    for name, pair in profile_pairs(spark, profiles, seed, sf):
+        t1, t2 = pair.triples1, pair.triples2
         res = run_minoaner(t1, t2, pair.gt, DEFAULT_CONFIG)
-        rows.append(
-            {
-                "dataset": name,
-                "method": "MinoanER",
-                **res.prf.row(),
-                "config": f"(k,K,N,theta)=({DEFAULT_CONFIG.k},{DEFAULT_CONFIG.K},"
-                f"{DEFAULT_CONFIG.N},{DEFAULT_CONFIG.theta})",
-            }
-        )
-
-        bsl = run_bsl(t1, t2, pair.gt_pdf, ns=bsl_ns)
-        rows.append(
-            {
-                "dataset": name,
-                "method": "BSL",
-                "precision": round(bsl.precision, 2),
-                "recall": round(bsl.recall, 2),
-                "f1": round(bsl.f1, 2),
-                "config": f"n={bsl.n},{bsl.weighting},{bsl.measure},t={bsl.threshold}",
-            }
-        )
-
-        if with_sigma:
-            sg = run_sigma(t1, t2, pair.pdf1, pair.pdf2, pair.gt_pdf)
-            rows.append(
-                {
-                    "dataset": name,
-                    "method": "SiGMa-lite",
-                    "precision": round(sg.precision, 2),
-                    "recall": round(sg.recall, 2),
-                    "f1": round(sg.f1, 2),
-                    "config": "seeds=names,lambda=0.4,t=0.15",
-                }
-            )
-        if with_paris:
-            pr = run_paris(pair.pdf1, pair.pdf2, pair.gt_pdf)
-            rows.append(
-                {
-                    "dataset": name,
-                    "method": "PARIS-lite",
-                    "precision": round(pr.precision, 2),
-                    "recall": round(pr.recall, 2),
-                    "f1": round(pr.f1, 2),
-                    "config": "iters=3,t=0.5",
-                }
-            )
+        rows.append(_row(name, "MinoanER", res.prf, MINOANER_CONFIG))
+        bsl = run_bsl(t1, t2, pair.gt_pdf)
+        bsl_config = f"n={bsl.n},{bsl.weighting},{bsl.measure},t={bsl.threshold}"
+        rows.append(_row(name, "BSL", bsl, bsl_config))
+        sg = run_sigma(t1, t2, pair.pdf1, pair.pdf2, pair.gt_pdf)
+        rows.append(_row(name, "SiGMa-lite", sg, SIGMA_CONFIG))
+        pr = run_paris(pair.pdf1, pair.pdf2, pair.gt_pdf)
+        rows.append(_row(name, "PARIS-lite", pr, PARIS_CONFIG))
     return rows
-
-
-def main(spark: SparkSession) -> str:
-    return format_rows("Table 3 — effectiveness vs baselines (ours)", table3_rows(spark))

@@ -11,8 +11,7 @@ from pyspark.sql import SparkSession
 
 from ..core import DEFAULT_CONFIG, run_minoaner
 from ..core.graph import build_graph
-from ..kbgen import PROFILES, generate_kb_pair
-from .fmt import format_rows
+from .pairs import profile_pairs
 
 VARIANTS = {
     "R1": dict(use_r1=True, use_r2=False, use_r3=False, use_r4=False),
@@ -30,15 +29,9 @@ def table4_rows(
     seed: int = 7,
     sf: float | None = None,
 ) -> list[dict]:
-    from ..kbgen.profiles import scaled
-
     rows = []
-    for name in profiles or list(PROFILES):
-        prof = PROFILES[name]
-        if sf is not None:
-            prof = scaled(prof, sf)
-        pair = generate_kb_pair(spark, prof, seed=seed)
-        t1, t2 = pair.triples1.cache(), pair.triples2.cache()
+    for name, pair in profile_pairs(spark, profiles, seed, sf):
+        t1, t2 = pair.triples1, pair.triples2
         graph = build_graph(t1, t2, DEFAULT_CONFIG)
         for variant, toggles in VARIANTS.items():
             res = run_minoaner(
@@ -46,7 +39,3 @@ def table4_rows(
             )
             rows.append({"dataset": name, "variant": variant, **res.prf.row()})
     return rows
-
-
-def main(spark: SparkSession) -> str:
-    return format_rows("Table 4 — matching-rule ablation (ours)", table4_rows(spark))

@@ -138,17 +138,6 @@ class TestRule3:
         )
         assert rule3(g).count() == 0
 
-    def test_literal_mode_keeps_one_sided_union(self, spark):
-        g = mkgraph(
-            spark,
-            b1=[(1, 11, 0.5, 1)],
-            b2=[(2, 11, 0.9, 1), (1, 11, 0.5, 2)],
-            g1=[(1, 11, 3.0, 1)],
-            g2=[(2, 11, 5.0, 1), (1, 11, 3.0, 2)],
-        )
-        got = pairs(rule3(g, mutual=False))
-        assert (1, 11) in got  # node 1's one-sided pick survives
-
     def test_winner_needs_both_lists(self, spark):
         # candidate has only value evidence -> rejected even if mutual
         g = mkgraph(

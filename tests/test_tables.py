@@ -83,3 +83,73 @@ class TestHarnesses:
         assert full["f1"] >= 75.0  # ~20 matches at this scale: noisy
         r1 = next(r for r in rows if r["variant"] == "R1")
         assert r1["precision"] >= 90.0  # name rule is precise by design
+
+
+class TestTable3Labels:
+    def test_baseline_labels_show_the_values_the_runs_use(self):
+        from repro.baselines import paris, sigma
+        from repro.tables import table3
+
+        def fields(label: str) -> dict[str, str]:
+            return dict(kv.split("=") for kv in label.split(","))
+
+        sg = fields(table3.SIGMA_CONFIG)
+        assert float(sg["lambda"]) == sigma.NEIGHBOR_WEIGHT
+        assert float(sg["t"]) == sigma.THRESHOLD
+        pr = fields(table3.PARIS_CONFIG)
+        assert int(pr["iters"]) == paris.ITERATIONS
+        assert float(pr["t"]) == paris.ACCEPT_THRESHOLD
+
+
+class TestCLI:
+    """``python -m repro.tables`` argument handling, with Spark and the
+    table functions replaced by recorders."""
+
+    @pytest.fixture
+    def cli(self, monkeypatch):
+        from repro.tables import __main__ as cli
+
+        calls: dict[str, list] = {"spark": [], "tables": []}
+
+        class FakeSpark:
+            def stop(self) -> None:
+                pass
+
+        def fake_session(app_name: str) -> FakeSpark:
+            calls["spark"].append(app_name)
+            return FakeSpark()
+
+        def recorder(key: str):
+            def table_rows(spark, **kwargs) -> list[dict]:
+                calls["tables"].append((key, kwargs))
+                return []
+
+            return table_rows
+
+        monkeypatch.setattr(cli, "spark_session", fake_session)
+        for key, (title, _) in list(cli.TABLES.items()):
+            monkeypatch.setitem(cli.TABLES, key, (title, recorder(key)))
+        return cli, calls
+
+    @pytest.mark.parametrize(
+        "argv", [["5"], ["3", "--profiles", "restaurant", "nosuch"]]
+    )
+    def test_bad_argument_exits_before_spark(self, cli, argv, capsys):
+        cli, calls = cli
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code != 0
+        assert "invalid choice" in capsys.readouterr().err
+        assert calls == {"spark": [], "tables": []}
+
+    def test_profiles_and_sf_reach_every_table(self, cli):
+        cli, calls = cli
+        cli.main(["all", "--profiles", "restaurant", "yago_imdb", "--sf", "0.2"])
+        expected = {"profiles": ["restaurant", "yago_imdb"], "sf": 0.2}
+        assert calls["tables"] == [(key, expected) for key in "1234"]
+        assert len(calls["spark"]) == 1
+
+    def test_defaults_pass_through(self, cli):
+        cli, calls = cli
+        cli.main(["2"])
+        assert calls["tables"] == [("2", {"profiles": None, "sf": None})]
