@@ -12,11 +12,20 @@ paper, it is represented by per-evidence DataFrames:
 
 Ranks are dense within each node's list (1 = best), with deterministic
 ties (weight desc, candidate id asc).
+
+These five frames are where Algorithm 1 hands over to Algorithm 2, so
+``build_graph`` materializes each with :func:`checkpoint`, which also
+cuts its lineage. The reason is planning cost, not data volume: every
+rule and the final scoring would otherwise re-optimize the whole plan
+from the triples up (about 10 M characters of optimized plan for the
+final matches), and that costs more than the data work at every scale
+this repository runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from pyspark import StorageLevel
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
@@ -25,6 +34,17 @@ from .config import MinoanerConfig
 from .names import alpha_edges, entity_names, top_k_name_attrs
 from .relations import relation_importance, top_in_neighbors, top_n_neighbors
 from .tokens import literal_tokens
+
+
+def checkpoint(df: DataFrame) -> DataFrame:
+    """Compute ``df`` now and return it with its lineage cut.
+
+    Later plans start from a scan of the stored rows instead of
+    re-planning everything upstream. The level is the serialized
+    ``MEMORY_AND_DISK``: the deserialized default held the top-K frames
+    at about 6x the size of a columnar cache.
+    """
+    return df.localCheckpoint(eager=True, storageLevel=StorageLevel.MEMORY_AND_DISK)
 
 
 def beta_scores(
@@ -129,17 +149,19 @@ def build_graph(
     Name blocking, token blocking and top-neighbor extraction are
     independent jobs (the parallel branches of the paper's Fig. 4);
     gamma is derived from the pruned beta edges and the in-neighbor
-    index, then pruned per node.
+    index, then pruned per node. The five graph frames are checkpointed;
+    the intermediate caches they were computed from are released before
+    returning (the caller's triples are left as they are).
     """
     n1 = triples1.select("eid").distinct().count()
     n2 = triples2.select("eid").distinct().count()
 
     # --- name evidence ----------------------------------------------------
-    name_attrs1 = top_k_name_attrs(triples1, cfg.k)
-    name_attrs2 = top_k_name_attrs(triples2, cfg.k)
+    name_attrs1 = top_k_name_attrs(triples1, cfg.k, n1)
+    name_attrs2 = top_k_name_attrs(triples2, cfg.k, n2)
     names1 = entity_names(triples1, name_attrs1)
     names2 = entity_names(triples2, name_attrs2)
-    alpha = alpha_edges(names1, names2).cache()
+    alpha = checkpoint(alpha_edges(names1, names2))
 
     # --- value evidence ---------------------------------------------------
     t1 = literal_tokens(triples1).cache()
@@ -147,8 +169,10 @@ def build_graph(
     index = token_block_index(t1, t2)
     kept, threshold = purge_blocks(index)
     beta = beta_scores(t1, t2, kept).cache()
-    beta_out1 = top_k_directed(beta, "eid1", "eid2", "beta", cfg.K).cache()
-    beta_out2 = top_k_directed(beta, "eid2", "eid1", "beta", cfg.K).cache()
+    beta_out1 = checkpoint(top_k_directed(beta, "eid1", "eid2", "beta", cfg.K))
+    beta_out2 = checkpoint(top_k_directed(beta, "eid2", "eid1", "beta", cfg.K))
+    for dead in (beta, t1, t2):
+        dead.unpersist()
 
     # --- neighbor evidence ------------------------------------------------
     imp1 = relation_importance(triples1, n1)
@@ -161,8 +185,8 @@ def build_graph(
         .distinct()
     )
     gamma = gamma_scores(retained_beta, topin1, topin2)
-    gamma_out1 = top_k_directed(gamma, "eid1", "eid2", "gamma", cfg.K).cache()
-    gamma_out2 = top_k_directed(gamma, "eid2", "eid1", "gamma", cfg.K).cache()
+    gamma_out1 = checkpoint(top_k_directed(gamma, "eid1", "eid2", "gamma", cfg.K))
+    gamma_out2 = checkpoint(top_k_directed(gamma, "eid2", "eid1", "gamma", cfg.K))
 
     return BlockingGraph(
         alpha=alpha,

@@ -3,6 +3,11 @@
 ``run_minoaner`` is the one-call entry used by the benchmarks and the
 Table 3/4 harnesses. All heavy lifting is DataFrame work; only final
 P/R/F1 counts are collected to the driver.
+
+The final matches are checkpointed (``graph.checkpoint``) before they are
+scored, like the graph frames and the rule outputs upstream: scoring and
+any later query on ``matches`` then plan from a scan of a few hundred
+rows instead of the whole Algorithm 1 + 2 lineage.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from pyspark.sql import DataFrame
 
 from .config import DEFAULT_CONFIG, MinoanerConfig
 from .evaluation import PRF, evaluate
-from .graph import BlockingGraph, build_graph
+from .graph import BlockingGraph, build_graph, checkpoint
 from .matching import match_graph
 
 
@@ -43,12 +48,14 @@ def run_minoaner(
     """
     if graph is None:
         graph = build_graph(triples1, triples2, cfg)
-    matches = match_graph(
-        graph,
-        theta=cfg.theta,
-        use_r1=use_r1,
-        use_r2=use_r2,
-        use_r3=use_r3,
-        use_r4=use_r4,
-    ).cache()
+    matches = checkpoint(
+        match_graph(
+            graph,
+            theta=cfg.theta,
+            use_r1=use_r1,
+            use_r2=use_r2,
+            use_r3=use_r3,
+            use_r4=use_r4,
+        )
+    )
     return MinoanerResult(graph=graph, matches=matches, prf=evaluate(matches, gt))

@@ -11,14 +11,17 @@ def kb(spark: SparkSession, rows: list[tuple]) -> DataFrame:
     """Build a triples DataFrame from (eid, attr, val, obj) tuples.
 
     ``val`` is None for relation rows, ``obj`` is None for literal rows.
+    The rows go to Spark as Python values, not through pandas: pandas
+    stores a column of ints and Nones as float64 with NaN, which the
+    bigint ``obj`` column rejects unless Arrow happens to convert it.
     """
-    pdf = pd.DataFrame(rows, columns=["eid", "attr", "val", "obj"])
-    pdf["obj"] = [
-        None if o is None or (isinstance(o, float) and pd.isna(o)) else int(o)
-        for o in pdf["obj"]
-    ]
-    pdf["val"] = pdf["val"].astype(object).where(pdf["val"].notna(), None)
-    return spark.createDataFrame(pdf, schema=TRIPLE_SCHEMA)
+    return spark.createDataFrame(
+        [
+            (int(eid), attr, val, None if obj is None else int(obj))
+            for eid, attr, val, obj in rows
+        ],
+        schema=TRIPLE_SCHEMA,
+    )
 
 
 def gt_df(spark: SparkSession, pairs: list[tuple[int, int]]) -> DataFrame:

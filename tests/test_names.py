@@ -102,6 +102,7 @@ class TestTopKNameAttrs:
         got = top_k_name_attrs(attrkb, 2)
         assert got[0] == "a:name"
         assert len(got) == 2
+        assert top_k_name_attrs(attrkb, 2, n_entities=3) == got  # |E| passed in
 
     def test_deterministic_tie_break(self, spark):
         k = kb(
