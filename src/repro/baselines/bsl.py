@@ -12,8 +12,9 @@ Unique Mapping Clustering. The grid mirrors the paper's 420 configs:
 * UMC thresholds in [0, 1) with step 0.05.
 
 The best F1 over the grid is reported, i.e. BSL is fine-tuned on the
-ground truth exactly as the paper describes. Scoring runs in Spark; the
-threshold sweep and UMC run on the driver over the collected scores.
+ground truth exactly as the paper describes. Scoring runs in Spark; UMC
+runs in pandas over the collected scores, once per (n, weighting,
+measure), and each threshold keeps the accepted pairs scoring at least it.
 """
 from __future__ import annotations
 
@@ -25,11 +26,10 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.blocking import purge_blocks, token_block_index, token_pairs
 from ..core.config import DEFAULT_CONFIG
 from ..core.evaluation import evaluate_pdf
-from ..core.names import entity_names, name_pairs, top_k_name_attrs
-from ..core.tokens import TOKEN_SPLIT, literal_tokens
+from ..core.graph import composite_blocks
+from ..core.tokens import TOKEN_SPLIT
 
 WEIGHTINGS = ("tf", "tfidf")
 MEASURES = ("cosine", "jaccard", "genjaccard", "sigma")
@@ -79,11 +79,12 @@ def weighted_grams(
     n_docs = (
         g1.select("eid").distinct().count() + g2.select("eid").distinct().count()
     )
+    # one row per (eid, gram) in each KB: an id used by both KBs is two documents
     df = (
-        g1.select("eid", "gram")
-        .union(g2.select("eid", "gram"))
+        g1.select("gram")
+        .union(g2.select("gram"))
         .groupBy("gram")
-        .agg(F.countDistinct("eid").alias("df"))
+        .agg(F.count("*").alias("df"))
         .withColumn("idf", F.log(F.lit(float(n_docs)) / F.col("df")))
         .select("gram", "idf")
     )
@@ -154,12 +155,7 @@ def pair_similarities(
 
 def candidate_pairs_unpruned(triples1: DataFrame, triples2: DataFrame) -> DataFrame:
     """The unpruned disjunctive blocking graph's edges, as in the paper's BSL."""
-    t1, t2 = literal_tokens(triples1), literal_tokens(triples2)
-    kept, _ = purge_blocks(token_block_index(t1, t2))
-    tok = token_pairs(t1, t2, kept)
-    n1 = entity_names(triples1, top_k_name_attrs(triples1, DEFAULT_CONFIG.k))
-    n2 = entity_names(triples2, top_k_name_attrs(triples2, DEFAULT_CONFIG.k))
-    return tok.union(name_pairs(n1, n2)).distinct()
+    return composite_blocks(triples1, triples2, DEFAULT_CONFIG.k).pairs()
 
 
 @dataclass
@@ -205,9 +201,10 @@ def run_bsl(
                 columns={measure: "sim"}
             )
             scored = scored[scored.sim > 0]
+            # UMC at t is UMC at 0 cut at sim >= t (DESIGN.md section 5)
+            pred = unique_mapping_clustering(scored)
             for t in thresholds:
-                pred = unique_mapping_clustering(scored, float(t))
-                prf = evaluate_pdf(pred, gt_pdf)
+                prf = evaluate_pdf(pred[pred.sim >= t], gt_pdf)
                 rows.append(
                     {
                         "n": n,

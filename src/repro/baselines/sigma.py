@@ -24,7 +24,8 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from ..core.evaluation import evaluate_pdf
-from ..core.names import entity_names, top_k_name_attrs
+from ..core.graph import composite_blocks
+from ..core.names import alpha_edges
 from .bsl import candidate_pairs_unpruned, entity_grams, pair_similarities, weighted_grams
 
 NEIGHBOR_WEIGHT = 0.4  # lambda: share of the score from matched neighbors
@@ -68,14 +69,9 @@ def run_sigma(
         .groupby("eid1")
         .head(MAX_CANDS_PER_ENTITY)
     )
-    n1 = entity_names(triples1, top_k_name_attrs(triples1, 1)).toPandas()
-    n2 = entity_names(triples2, top_k_name_attrs(triples2, 1)).toPandas()
-    c1 = n1.name.value_counts()
-    c2 = n2.name.value_counts()
-    uniq = set(c1[c1 == 1].index) & set(c2[c2 == 1].index)
-    seeds = n1[n1.name.isin(uniq)].merge(
-        n2[n2.name.isin(uniq)], on="name", suffixes=("1", "2")
-    )[["eid1", "eid2"]]
+    # seeds: pairs alone in a name block of each KB's top name attribute
+    names = composite_blocks(triples1, triples2, 1)
+    seeds = alpha_edges(names.names1, names.names2).toPandas().sort_values(["eid1", "eid2"])
 
     # --- driver side: greedy queue with neighbor re-scoring ----------------
     valsim = {

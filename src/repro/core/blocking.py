@@ -1,4 +1,4 @@
-"""Token blocking, Block Purging, and block statistics (Section 3, Table 2).
+"""Token blocking and Block Purging (Section 3.1, 3.3).
 
 Token blocking creates one block per token shared by the two KBs; the
 block's comparison cardinality is ``EF1(t) * EF2(t)``. Block Purging
@@ -8,17 +8,17 @@ derives its cut-off from Def. 2.1's weighting (DESIGN.md section 5): a
 block of cardinality ``c`` carries token weight ``1/log2(c+1)``, so
 blocks with ``EF1*EF2 > 2**(1/min_weight) - 1`` are dropped — 1023
 comparisons at the default ``min_weight = 0.1``, whatever the KB sizes.
+
+``graph.composite_blocks`` combines these token blocks with the name
+blocks of ``core/names.py``; Table 2's statistics are taken over that
+composite in ``tables/table2.py``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .evaluation import PRF
-from .names import name_block_index, name_pairs
-from .tokens import entity_frequency, literal_tokens, pair_token_weights
+from .tokens import entity_frequency, pair_token_weights
 
 
 def token_block_index(tokens1: DataFrame, tokens2: DataFrame) -> DataFrame:
@@ -51,78 +51,4 @@ def purge_blocks(
     return (
         block_index.filter(F.col("comparisons") <= max_comparisons),
         max_comparisons,
-    )
-
-
-def token_pairs(
-    tokens1: DataFrame, tokens2: DataFrame, kept_blocks: DataFrame
-) -> DataFrame:
-    """Distinct cross-KB ``(eid1, eid2)`` co-occurring in a kept token block."""
-    kept = kept_blocks.select("token")
-    return (
-        tokens1.join(kept, "token")
-        .withColumnRenamed("eid", "eid1")
-        .join(tokens2.withColumnRenamed("eid", "eid2"), "token")
-        .select("eid1", "eid2")
-        .distinct()
-    )
-
-
-@dataclass
-class BlockStats:
-    """The Table-2 row for one dataset."""
-
-    n_name_blocks: int
-    n_token_blocks: int
-    name_comparisons: int
-    token_comparisons: int
-    cartesian: int
-    precision: float
-    recall: float
-    f1: float
-    purge_threshold: int
-
-
-def block_stats(
-    triples1: DataFrame,
-    triples2: DataFrame,
-    names1: DataFrame,
-    names2: DataFrame,
-    gt: DataFrame,
-) -> BlockStats:
-    """Compute Table 2: block counts, cardinalities, and blocking P/R/F1.
-
-    Blocking "predicts" every pair co-occurring in a (purged) token
-    block or a name block; precision/recall are measured against the
-    ground truth over those candidate pairs, as in the paper.
-    """
-    t1, t2 = literal_tokens(triples1), literal_tokens(triples2)
-    tindex = token_block_index(t1, t2)
-    kept, threshold = purge_blocks(tindex)
-    nindex = name_block_index(names1, names2)
-
-    n_token_blocks = kept.count()
-    n_name_blocks = nindex.count()
-    token_comps = kept.agg(F.sum("comparisons")).collect()[0][0] or 0
-    name_comps = (
-        nindex.agg(F.sum(F.col("cnt1") * F.col("cnt2"))).collect()[0][0] or 0
-    )
-
-    cand = token_pairs(t1, t2, kept).union(name_pairs(names1, names2)).distinct()
-    n_cand = cand.count()
-    n_gt = gt.count()
-    prf = PRF.from_counts(cand.join(gt, ["eid1", "eid2"]).count(), n_cand, n_gt)
-
-    n1 = triples1.select("eid").distinct().count()
-    n2 = triples2.select("eid").distinct().count()
-    return BlockStats(
-        n_name_blocks=n_name_blocks,
-        n_token_blocks=n_token_blocks,
-        name_comparisons=int(name_comps),
-        token_comparisons=int(token_comps),
-        cartesian=n1 * n2,
-        precision=prf.precision,
-        recall=prf.recall,
-        f1=prf.f1,
-        purge_threshold=threshold,
     )

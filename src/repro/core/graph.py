@@ -1,5 +1,8 @@
 """Disjunctive blocking graph construction (Section 3.2-3.3, Algorithm 1).
 
+Composite blocking (Section 3.1) is built once, by :func:`composite_blocks`,
+for ``build_graph``, Table 2 and the baselines alike.
+
 The graph is never materialized as an adjacency structure; as in the
 paper, it is represented by per-evidence DataFrames:
 
@@ -31,7 +34,7 @@ from pyspark.sql import functions as F
 
 from .blocking import purge_blocks, token_block_index
 from .config import MinoanerConfig
-from .names import alpha_edges, entity_names, top_k_name_attrs
+from .names import alpha_edges, entity_names, name_pairs, top_k_name_attrs
 from .relations import relation_importance, top_in_neighbors, top_n_neighbors
 from .tokens import literal_tokens
 
@@ -64,6 +67,54 @@ def beta_scores(
         .groupBy("eid1", "eid2")
         .agg(F.sum("weight").alias("beta"))
     )
+
+
+@dataclass
+class Blocks:
+    """Token blocks ``h_T`` left by Block Purging plus name blocks ``h_N``.
+
+    Every frame is lazy and uncached; a caller that reuses the tokens
+    caches them itself.
+    """
+
+    tokens1: DataFrame      # (eid, token)
+    tokens2: DataFrame      # (eid, token)
+    kept: DataFrame         # (token, ef1, ef2, weight, comparisons) after purging
+    purge_threshold: int
+    name_attrs1: list[str]
+    name_attrs2: list[str]
+    names1: DataFrame       # (eid, name)
+    names2: DataFrame       # (eid, name)
+
+    def pairs(self) -> DataFrame:
+        """The unpruned graph's edges: distinct pairs sharing a kept token or a name."""
+        return (
+            beta_scores(self.tokens1, self.tokens2, self.kept)
+            .select("eid1", "eid2")
+            .union(name_pairs(self.names1, self.names2))
+            .distinct()
+        )
+
+
+def composite_blocks(
+    triples1: DataFrame,
+    triples2: DataFrame,
+    k: int,
+    n1: int | None = None,
+    n2: int | None = None,
+) -> Blocks:
+    """Composite blocking with ``k`` name attributes per KB.
+
+    ``n1``/``n2`` (|E1|, |E2|) spare :func:`top_k_name_attrs` a recount;
+    choosing the name attributes is the only Spark work done here.
+    """
+    name_attrs1 = top_k_name_attrs(triples1, k, n1)
+    name_attrs2 = top_k_name_attrs(triples2, k, n2)
+    names1 = entity_names(triples1, name_attrs1)
+    names2 = entity_names(triples2, name_attrs2)
+    t1, t2 = literal_tokens(triples1), literal_tokens(triples2)
+    kept, threshold = purge_blocks(token_block_index(t1, t2))
+    return Blocks(t1, t2, kept, threshold, name_attrs1, name_attrs2, names1, names2)
 
 
 def top_k_directed(
@@ -156,19 +207,14 @@ def build_graph(
     n1 = triples1.select("eid").distinct().count()
     n2 = triples2.select("eid").distinct().count()
 
+    blocks = composite_blocks(triples1, triples2, cfg.k, n1, n2)
+
     # --- name evidence ----------------------------------------------------
-    name_attrs1 = top_k_name_attrs(triples1, cfg.k, n1)
-    name_attrs2 = top_k_name_attrs(triples2, cfg.k, n2)
-    names1 = entity_names(triples1, name_attrs1)
-    names2 = entity_names(triples2, name_attrs2)
-    alpha = checkpoint(alpha_edges(names1, names2))
+    alpha = checkpoint(alpha_edges(blocks.names1, blocks.names2))
 
     # --- value evidence ---------------------------------------------------
-    t1 = literal_tokens(triples1).cache()
-    t2 = literal_tokens(triples2).cache()
-    index = token_block_index(t1, t2)
-    kept, threshold = purge_blocks(index)
-    beta = beta_scores(t1, t2, kept).cache()
+    t1, t2 = blocks.tokens1.cache(), blocks.tokens2.cache()
+    beta = beta_scores(t1, t2, blocks.kept).cache()
     beta_out1 = checkpoint(top_k_directed(beta, "eid1", "eid2", "beta", cfg.K))
     beta_out2 = checkpoint(top_k_directed(beta, "eid2", "eid1", "beta", cfg.K))
     for dead in (beta, t1, t2):
@@ -196,7 +242,7 @@ def build_graph(
         gamma_out2=gamma_out2,
         n1=n1,
         n2=n2,
-        name_attrs1=name_attrs1,
-        name_attrs2=name_attrs2,
-        purge_threshold=threshold,
+        name_attrs1=blocks.name_attrs1,
+        name_attrs2=blocks.name_attrs2,
+        purge_threshold=blocks.purge_threshold,
     )

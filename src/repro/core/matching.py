@@ -130,21 +130,14 @@ def rule3(
 
 
 def rule4(matches: DataFrame, g: BlockingGraph) -> DataFrame:
-    """R4: keep only reciprocally connected matches (Alg. 2 lines 24-26)."""
-    return matches.join(g.directed_from1(), _PAIR, "left_semi").join(
-        g.directed_from2(), _PAIR, "left_semi"
-    )
+    """R4: keep only reciprocally connected matches (Alg. 2 lines 24-26).
 
-
-def _first_rule_wins(matches: DataFrame) -> DataFrame:
-    """Deduplicate pairs, attributing each to the earliest rule."""
-    order = F.when(F.col("rule") == "R1", 1).when(F.col("rule") == "R2", 2).otherwise(3)
-    w = Window.partitionBy(*_PAIR).orderBy(order.asc())
-    return (
-        matches.withColumn("_rk", F.row_number().over(w))
-        .filter(F.col("_rk") == 1)
-        .select(*_PAIR, "rule")
-    )
+    The reciprocal pairs are distinct, so the inner join filters like a
+    semi-join; unlike one, Catalyst does not push it below the union of
+    the rule outputs, which would plan the join once per rule.
+    """
+    reciprocal = g.directed_from1().join(g.directed_from2(), _PAIR, "left_semi")
+    return matches.join(reciprocal, _PAIR)
 
 
 def match_graph(
@@ -158,29 +151,20 @@ def match_graph(
     """Algorithm 2 end to end; rule toggles drive the Table 4 ablation.
 
     Returns ``(eid1, eid2, rule)``. Rules run in order, each skipping
-    entities matched by earlier rules; R4 filters the union. Each rule's
-    output is checkpointed before the next rule plans on it.
+    entities matched by earlier rules (R2 on its node's side, R3 on both),
+    so no pair is proposed twice and the union needs no deduplication;
+    R4 filters it. Each rule's output is checkpointed before the next
+    rule plans on it.
     """
-    parts: list[DataFrame] = []
-    matched: DataFrame | None = None
-
-    def accumulate(df: DataFrame) -> None:
-        nonlocal matched
-        parts.append(df)
-        matched = df.select(*_PAIR) if matched is None else matched.union(
-            df.select(*_PAIR)
-        )
-
-    if use_r1:
-        accumulate(checkpoint(rule1(g)))
-    if use_r2:
-        accumulate(checkpoint(rule2(g, matched)))
-    if use_r3:
-        accumulate(checkpoint(rule3(g, matched, theta)))
-    if not parts:
+    matches: DataFrame | None = None
+    for use, rule in (
+        (use_r1, lambda matched: rule1(g)),
+        (use_r2, lambda matched: rule2(g, matched)),
+        (use_r3, lambda matched: rule3(g, matched, theta)),
+    ):
+        if use:
+            found = checkpoint(rule(matches))
+            matches = found if matches is None else matches.unionByName(found)
+    if matches is None:
         return rule1(g).filter(F.lit(False))
-    all_matches = parts[0]
-    for df in parts[1:]:
-        all_matches = all_matches.unionByName(df)
-    all_matches = _first_rule_wins(all_matches)
-    return rule4(all_matches, g) if use_r4 else all_matches
+    return rule4(matches, g) if use_r4 else matches

@@ -1,19 +1,19 @@
-"""Unit tests for core.blocking: token blocks, purging, Table-2 stats."""
+"""Unit tests for blocking: token blocks, purging, composite blocks, Table-2 stats."""
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from pyspark.sql import functions as F
 
 from tests.kbutil import kb
-from repro.core.blocking import (
-    block_stats,
-    purge_blocks,
-    token_block_index,
-    token_pairs,
-)
-from repro.core.names import entity_names, top_k_name_attrs
-from repro.core.tokens import entity_frequency, literal_tokens
+from repro.baselines.bsl import candidate_pairs_unpruned
+from repro.core import evaluate
+from repro.core.blocking import purge_blocks, token_block_index
+from repro.core.graph import composite_blocks
+from repro.core.tokens import literal_tokens
 from repro.oracle import assert_equivalent
+from repro.tables.table2 import block_stats
 
 
 @pytest.fixture(scope="module")
@@ -107,30 +107,27 @@ class TestPurgeBlocks:
 
 
 class TestTokenPairs:
+    """The token-block side of ``Blocks.pairs()``."""
+
     def test_pairs_from_kept_blocks_only(self, spark, blockkbs):
         k1, k2 = blockkbs
-        t1, t2 = literal_tokens(k1), literal_tokens(k2)
-        idx = token_block_index(t1, t2)
+        blocks = composite_blocks(k1, k2, 2)  # no name is shared
+        idx = token_block_index(blocks.tokens1, blocks.tokens2)
         kept, _ = purge_blocks(idx, max_comparisons=1)
-        pairs = {(r.eid1, r.eid2) for r in token_pairs(t1, t2, kept).collect()}
+        pairs = {(r.eid1, r.eid2) for r in replace(blocks, kept=kept).pairs().collect()}
         assert pairs == {(1, 11)}
 
     def test_pairs_distinct(self, spark):
         k1 = kb(spark, [(1, "a:d", "x y", None)])
         k2 = kb(spark, [(9, "b:d", "x y", None)])
-        t1, t2 = literal_tokens(k1), literal_tokens(k2)
-        kept, _ = purge_blocks(token_block_index(t1, t2))
-        assert token_pairs(t1, t2, kept).count() == 1  # two shared tokens, one pair
+        # two shared tokens and a shared name, one pair
+        assert composite_blocks(k1, k2, 2).pairs().count() == 1
 
 
 class TestBlockStats:
     @pytest.fixture(scope="class")
-    def stats(self, micro_pair, micro_graph):
-        n1 = entity_names(micro_pair.triples1, micro_graph.name_attrs1)
-        n2 = entity_names(micro_pair.triples2, micro_graph.name_attrs2)
-        return block_stats(
-            micro_pair.triples1, micro_pair.triples2, n1, n2, micro_pair.gt
-        )
+    def stats(self, micro_pair):
+        return block_stats(micro_pair.triples1, micro_pair.triples2, micro_pair.gt)
 
     def test_recall_above_99(self, stats):
         assert stats.recall >= 99.0
@@ -153,3 +150,9 @@ class TestBlockStats:
     def test_counts_positive(self, stats):
         assert stats.n_name_blocks > 0
         assert stats.n_token_blocks > 0
+
+    def test_candidates_are_bsl_pairs(self, stats, micro_pair):
+        pairs = candidate_pairs_unpruned(micro_pair.triples1, micro_pair.triples2)
+        prf = evaluate(pairs, micro_pair.gt)
+        # equal recall: the same correct pairs; equal precision: as many candidates
+        assert (stats.recall, stats.precision) == (prf.recall, prf.precision)

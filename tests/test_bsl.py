@@ -61,6 +61,15 @@ class TestWeights:
         got = w1.filter(F.col("gram") == "rare").collect()[0].w
         assert got == pytest.approx(1.0 * math.log(4 / 2))
 
+    def test_tfidf_independent_of_shared_ids(self, spark):
+        # KB2 reuses KB1's id 1: still two documents carrying "rare"
+        k1 = kb(spark, [(1, "a:d", "rare", None), (2, "a:d", "x", None)])
+        k2 = kb(spark, [(1, "b:d", "rare", None), (12, "b:d", "y", None)])
+        w1, w2 = weighted_grams(entity_grams(k1, 1), entity_grams(k2, 1), "tfidf")
+        for w in (w1, w2):
+            got = w.filter(F.col("gram") == "rare").collect()[0].w
+            assert got == pytest.approx(math.log(4 / 2))
+
     def test_unknown_weighting_raises(self, spark, gramkb):
         g = entity_grams(gramkb, 1)
         with pytest.raises(ValueError):

@@ -247,3 +247,8 @@ class TestMatchGraph:
     def test_rules_cover_output(self, micro_result):
         rules = {r.rule for r in micro_result.matches.select("rule").distinct().collect()}
         assert rules <= {"R1", "R2", "R3"}
+
+    def test_matches_are_distinct_pairs(self, micro_result):
+        # each rule skips entities matched before it, so no pair repeats
+        rows = micro_result.matches.select("eid1", "eid2").collect()
+        assert len(rows) == len(set(rows))

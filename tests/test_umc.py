@@ -51,3 +51,21 @@ class TestUMC:
         s = pd.DataFrame([(1, 10, 0.9)], columns=["eid1", "eid2", "score"])
         out = unique_mapping_clustering(s, sim_col="score")
         assert len(out) == 1
+
+
+class TestThresholdCut:
+    """UMC(s, t) is UMC(s) cut at sim >= t, which lets BSL run UMC once."""
+
+    FRAMES = [
+        [(1, 10, 0.9), (1, 11, 0.8), (2, 10, 0.7), (2, 11, 0.6)],
+        [(2, 11, 0.5), (1, 10, 0.5), (1, 11, 0.5), (3, 12, 0.2)],
+        [(1, 10, 0.4), (2, 10, 0.95), (2, 11, 0.3), (3, 11, 0.35), (3, 10, 0.1)],
+    ]
+
+    @pytest.mark.parametrize("rows", FRAMES)
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 0.75, 1.0])
+    def test_cut_equals_threshold_run(self, rows, t):
+        s = scored(rows)
+        full = unique_mapping_clustering(s)
+        cut = full[full.sim >= t].reset_index(drop=True)
+        pd.testing.assert_frame_equal(unique_mapping_clustering(s, threshold=t), cut)
